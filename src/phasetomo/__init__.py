@@ -21,6 +21,7 @@ from .cstomo import (
     operator_hash,
     p_function_grid,
     quasi_distribution,
+    quasi_values,
     reconstruct_from_K,
     reconstruct_from_tomogram,
     s_ordered_kernel,

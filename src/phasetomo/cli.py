@@ -7,18 +7,14 @@ suites), plus the qubit-verify / pn-verify shortcuts.
 Determinism contract: identical config and seed give byte-identical output
 files (%.17g CSV fields, sorted JSON keys).  Every error path prints a
 single-line JSON diagnostic to stderr.  Exit codes: 0 ok, 1 operation or
-verification failure, 2 usage/config error.  PHASETOMO_THREADS > 1 enables
-a thread pool for per-node symbol evaluation (order, and therefore output
-bytes, do not depend on the thread count).
+verification failure, 2 usage/config error.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,15 +44,27 @@ class RunConfig:
             raise ParseError("tail_tol must be > 0", str(self.tail_tol), 0)
 
 
+# JSON value types accepted for each name in a RunConfig field annotation
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "None": (type(None),)}
+
+
 def load_config(args) -> RunConfig:
     base = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             base = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
-        bad = sorted(set(base) - known)
+        if not isinstance(base, dict):
+            raise ParseError(f"config file must hold a JSON object, not {type(base).__name__}",
+                             json.dumps(base), 0)
+        known = {f.name: f.type for f in fields(RunConfig)}
+        bad = sorted(set(base) - set(known))
         if bad:
             raise ParseError(f"unknown config keys {bad}", json.dumps(bad), 0)
+        for key, value in base.items():
+            ok = tuple(t for name in known[key].split(" | ") for t in _JSON_TYPES[name])
+            if isinstance(value, bool) or not isinstance(value, ok):
+                raise ParseError(f"config key {key!r} must be {known[key]}, "
+                                 f"got {json.dumps(value)}", json.dumps(value), 0)
     cfg = RunConfig(**base)
     for f in fields(RunConfig):
         v = getattr(args, f.name, None)
@@ -140,22 +148,6 @@ def parse_scheme(text: str):
     raise ParseError("scheme must be cs, pn, or quasi:<s>", text, 0)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PHASETOMO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_nodes(fn, nodes) -> np.ndarray:
-    """Order-preserving per-node evaluation, optionally thread-pooled."""
-    n = _threads()
-    if n <= 1:
-        return np.array([fn(z) for z in nodes])
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return np.array(list(ex.map(fn, nodes)))
-
-
 def _load_deformation(path: str | None) -> deformed.DeformationSpec | None:
     if path is None:
         return None
@@ -199,7 +191,7 @@ def cmd_tomogram(args) -> int:
         resid = abs(got - want)
         pio.write_tomogram_csv(out, tom, source=state)
     elif scheme == "quasi":
-        vals = _map_nodes(lambda z: cstomo.quasi_distribution(state, z, s_order), grid.nodes)
+        vals = cstomo.quasi_values(state, grid.nodes, s_order)
         tom = cstomo.Tomogram(grid, vals, meta={"symbol": f"F_{s_order:g}", "s": s_order,
                                                 "dim": state.dim})
         resid = abs((vals * grid.weights).sum() - np.trace(state.entries))

@@ -254,8 +254,8 @@ def s_ordered_kernel(z: complex, s: float, N: int) -> FockOperator:
     return FockOperator(N + 1, (2 / (1 - s)) * (D * core) @ D.conj().T)
 
 
-def quasi_distribution(A: FockOperator, z: complex, s: float) -> complex:
-    """F_A(z, s) = Tr[A Delta(z, -s)]; s = 1 reproduces the K-symbol.
+def quasi_values(A: FockOperator, nodes, s: float) -> np.ndarray:
+    """F_A(z, s) = Tr[A Delta(z, -s)] at each node; s = 1 gives the K-symbol.
 
     The kernel block on A's support is contracted over extended columns, so
     the value is the exact symbol of the given truncated operator. For s < 0
@@ -263,39 +263,66 @@ def quasi_distribution(A: FockOperator, z: complex, s: float) -> complex:
     by the operator's own truncation edge (sharpening toward the P side),
     and the contraction cancels across growing terms. The cancellation mass
     is measured and evaluation refused once double precision cannot carry it.
+
+    D(r e^{i phi})_{mn} = e^{i(m-n) phi} D(r)_{mn}, so the kernel is built
+    once per distinct radius r and A is reduced to one sum S_o per diagonal
+    o = n - m of A.T * ker(r); a node at angle phi on that ring takes
+    sum_o S_o e^{-i o phi}. The first failing node in node order raises.
     """
     if not -1 < s <= 1:
         raise SpecError("s must lie in (-1, 1]; the s=-1 symbol is the P-function, "
                         "use p_function_grid")
+    nodes = np.asarray(nodes, dtype=complex).ravel()
     if s == 1:
         # anti-Wick kernel is |z><z|: same value as the K-symbol, cheaper path
-        return complex(husimi_values(A, [z])[0])
+        return husimi_values(A, nodes)
     c = (1 - s) / (-1 - s)
-    u = abs(z) ** 2
     g = abs(c)
     d = A.dim
-    K = d + int(np.ceil(max(1.0, g) * u + 4 * np.sqrt((d + 1) * max(1.0, g) * u) + 12))
-    if K * np.log(max(g, 1.0)) > 600.0:
-        safe_u = max((600.0 / np.log(g) - d) / g, 0.0)
-        raise ScaleOverflowError(
-            f"column weight |c|^k = {g:.3g}^{K} overflows for s = {s} at "
-            f"|z|^2 = {u:.3g}; use p_function_grid for symbols near s = -1",
-            safe_radius=float(np.sqrt(safe_u)),
-        )
-    Db = displacement_block(z, d, K)
-    wts = c ** np.arange(K)
-    ker = (2 / (1 + s)) * (Db * wts) @ Db.conj().T
-    val = complex(np.trace(A.entries @ ker))
-    if s < 0:
-        absD = np.abs(Db)
-        mass = (2 / (1 + s)) * (absD * np.abs(wts)) @ absD.T
-        noise = _EPS * float((np.abs(A.entries).T * mass).sum())
-        if noise > 1e-8 * max(1.0, abs(val)):
+    radii, first, ring = np.unique(np.abs(nodes), return_index=True, return_inverse=True)
+    members = np.split(np.argsort(ring, kind="stable"), np.cumsum(np.bincount(ring))[:-1])
+    row, col = np.indices((d, d))
+    offset = (col - row + d - 1).ravel()
+    o = np.arange(-(d - 1), d)
+    absAT = np.abs(A.entries).T
+    vals = np.empty(nodes.size, dtype=complex)
+    noise_fail = None                     # (node index, message) of the first noise refusal
+    for k in np.argsort(first):
+        if noise_fail is not None and first[k] > noise_fail[0]:
+            break
+        r, idx = float(radii[k]), members[k]
+        u = r ** 2
+        K = d + int(np.ceil(max(1.0, g) * u + 4 * np.sqrt((d + 1) * max(1.0, g) * u) + 12))
+        if K * np.log(max(g, 1.0)) > 600.0:
+            safe_u = max((600.0 / np.log(g) - d) / g, 0.0)
             raise ScaleOverflowError(
-                f"s = {s} symbol at |z|^2 = {u:.3g} sits below its cancellation "
-                f"noise floor {noise:.3g}; reduce |z| or move s toward 0"
+                f"column weight |c|^k = {g:.3g}^{K} overflows for s = {s} at "
+                f"|z|^2 = {u:.3g}; use p_function_grid for symbols near s = -1",
+                safe_radius=float(np.sqrt(safe_u)),
             )
-    return val
+        Db = displacement_block(r, d, K)
+        wts = c ** np.arange(K)
+        M = (A.entries.T * ((2 / (1 + s)) * (Db * wts) @ Db.conj().T)).ravel()
+        S = (np.bincount(offset, M.real, 2 * d - 1)
+             + 1j * np.bincount(offset, M.imag, 2 * d - 1))
+        vals[idx] = np.exp(-1j * np.outer(np.angle(nodes[idx]), o)) @ S
+        if s < 0:
+            absD = np.abs(Db)
+            mass = (2 / (1 + s)) * (absD * np.abs(wts)) @ absD.T
+            noise = _EPS * float((absAT * mass).sum())
+            bad = idx[noise > 1e-8 * np.fmax(1.0, np.abs(vals[idx]))]
+            if bad.size and (noise_fail is None or bad[0] < noise_fail[0]):
+                noise_fail = (bad[0], (
+                    f"s = {s} symbol at |z|^2 = {u:.3g} sits below its cancellation "
+                    f"noise floor {noise:.3g}; reduce |z| or move s toward 0"))
+    if noise_fail is not None:
+        raise ScaleOverflowError(noise_fail[1])
+    return vals
+
+
+def quasi_distribution(A: FockOperator, z: complex, s: float) -> complex:
+    """F_A(z, s) at a single point; see quasi_values."""
+    return complex(quasi_values(A, [z], s)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .cstomo import (
     PhaseGrid,
     Tomogram,
     frame_from_amplitudes,
+    frame_reconstruct,
     reconstruct_from_tomogram,
 )
 from .pntomo import _core_dim, _node_blocks
@@ -381,13 +382,7 @@ def deformed_reconstruct(k_values: Tomogram, spec: DeformationSpec, N_target: in
             nrm = np.linalg.norm(v)
             cols[:, j] = v / nrm
             strip[j] = (st.s_prefactor * nrm) ** 2
-        frame = frame_from_amplitudes(grid, cols)
-        vals = k_values.values / strip
-        d = N_target + 1
-        out = np.zeros((d, d), dtype=complex)
-        for G, w, val in zip(frame.gram_ops, grid.weights, vals):
-            out += w * val * G.entries
-        return FockOperator(d, out)
+        return frame_reconstruct(frame_from_amplitudes(grid, cols), k_values.values / strip)
     raise ValueError(f"unknown route {route!r}; use 'conjugation' or 'frame'")
 
 

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .cstomo import PhaseGrid, Tomogram, operator_hash
-from .errors import GridError
+from .errors import GridError, ParseError
 from .fock import FockOperator, FockVector
 from .pntomo import PNTomogram
 
@@ -112,8 +112,39 @@ def _read_rows(path, width: int) -> np.ndarray:
         header = next(rd)
         if len(header) != width:
             raise GridError(f"expected {width} columns, found {len(header)}")
-        data = [[float(c) for c in row] for row in rd if row]
-    return np.asarray(data, dtype=float)
+        try:
+            rows = np.asarray([[float(c) for c in row] for row in rd if row], dtype=float)
+        except ValueError:          # a non-numeric cell or a ragged row
+            rows = None
+    if rows is None or rows.ndim != 2 or rows.shape[1] != width or \
+            not np.isfinite(rows).all():
+        _raise_bad_cell(path, width)
+    return rows
+
+
+def _raise_bad_cell(path, width: int):
+    """ParseError at the first non-numeric, non-finite, missing or extra
+    cell, named by its 1-based line and column."""
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        next(rd)
+        for row in filter(None, rd):
+            text = ",".join(row)
+            starts = np.cumsum([0] + [len(c) + 1 for c in row])
+            for col, cell in enumerate(row[:width], 1):
+                try:
+                    why = None if np.isfinite(float(cell)) else "is not finite"
+                except ValueError:
+                    why = "is not a number"
+                if why:
+                    raise ParseError(f"line {rd.line_num}, column {col}: {cell!r} {why}",
+                                     text, int(starts[col - 1]))
+            if len(row) != width:
+                col = min(len(row), width) + 1
+                raise ParseError(f"line {rd.line_num}, column {col}: expected {width} "
+                                 f"columns, found {len(row)}", text,
+                                 min(int(starts[col - 1]), len(text)))
+    raise ParseError("no data rows", str(path), 0)
 
 
 def write_operator_json(path, op):

@@ -172,6 +172,29 @@ def test_config_file_and_override(tmp_path, capsys):
     assert "trunc" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("text, named", [("5", "JSON object"), ("[1, 2]", "JSON object"),
+                                         ('{"truncation": "abc"}', "'truncation'"),
+                                         ('{"lam": true}', "'lam'"),
+                                         ('{"grid": 5}', "'grid'")])
+def test_config_file_shape_and_types(tmp_path, capsys, text, named):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(text)
+    code, _, err = run(capsys, "tomogram", "--state", "fock:0", "--scheme", "cs",
+                       "--config", str(cfgp), "--out", str(tmp_path / "t.csv"))
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and named in doc["message"]
+
+
+def test_config_file_accepts_null_and_int_for_float(tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"truncation": 12, "grid": "5:24:16", "tail_tol": 1,
+                                "nmax": None}))
+    code, _, _ = run(capsys, "tomogram", "--state", "fock:0", "--scheme", "cs",
+                     "--config", str(cfgp), "--out", str(tmp_path / "t.csv"))
+    assert code == 0
+
+
 def test_output_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

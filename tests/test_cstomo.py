@@ -126,6 +126,61 @@ def test_quasi_domain_guard():
         cstomo.quasi_distribution(rho, 0.3, -1.0)
 
 
+def _quasi_reference(A, z, s):
+    """Per-node s-ordered symbol with the displacement block taken at z itself,
+    and its cancellation noise floor (zero for s >= 0)."""
+    c = (1 - s) / (-1 - s)
+    g, u, d = abs(c), abs(z) ** 2, A.dim
+    K = d + int(np.ceil(max(1.0, g) * u + 4 * np.sqrt((d + 1) * max(1.0, g) * u) + 12))
+    Db = fock.displacement_block(z, d, K)
+    wts = c ** np.arange(K)
+    ker = (2 / (1 + s)) * (Db * wts) @ Db.conj().T
+    mass = (2 / (1 + s)) * (np.abs(Db) * np.abs(wts)) @ np.abs(Db).T
+    noise = np.finfo(float).eps * (np.abs(A.entries).T * mass).sum() if s < 0 else 0.0
+    return complex(np.trace(A.entries @ ker)), noise
+
+
+@pytest.mark.parametrize("kind, param, N", [("thermal", 1.2, 40),
+                                            ("coherent", 0.8 - 0.6j, 30),
+                                            ("cat", 1.1 + 0.4j, 30)])
+@pytest.mark.parametrize("grid", [cstomo.PhaseGrid.polar(5.0, 16, 32),
+                                  cstomo.PhaseGrid.cartesian(5.0, 17)],
+                         ids=["polar", "cartesian-with-origin"])
+def test_quasi_values_match_per_node_kernel(kind, param, N, grid):
+    rho = fock.build_state(kind, param, N, 1e-10)
+    for s in (0.6, 0.3, 0.0, -0.3):
+        # below s = 0 the outer rings sit under the noise floor and are refused
+        nodes = grid.nodes if s >= 0 else grid.nodes[np.abs(grid.nodes) <= 1.5]
+        # every ring is evaluated; the per-node reference checks every 7th node
+        got = cstomo.quasi_values(rho, nodes, s)[::7]
+        want, noise = np.array([_quasi_reference(rho, z, s) for z in nodes[::7]]).T
+        # for s < 0 both summation orders carry the cancellation noise floor
+        tol = 1e-13 * np.maximum(1.0, np.abs(want)) + noise.real
+        assert np.all(np.abs(got - want) <= tol)
+
+
+def _first_refusal(A, nodes, s):
+    for z in nodes:
+        try:
+            cstomo.quasi_distribution(A, z, s)
+        except ScaleOverflowError as e:
+            return e
+    raise AssertionError("no node refused")
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["inner-first", "outer-first"])
+def test_quasi_values_refuse_at_first_failing_node(order):
+    rho = fock.build_state("thermal", 1.0, 40, 1e-10)
+    nodes = cstomo.PhaseGrid.polar(5.0, 16, 32).nodes[::order]
+    want = _first_refusal(rho, nodes, -0.9)
+    with pytest.raises(ScaleOverflowError) as got:
+        cstomo.quasi_values(rho, nodes, -0.9)
+    assert str(got.value) == str(want)
+    assert got.value.safe_radius == want.safe_radius
+    # outermost ring first: the overflow guard fires before the noise floor
+    assert (want.safe_radius is None) == (order == 1)
+
+
 def test_s_kernel_projector_limit():
     # s = -1 kernel is exactly the coherent projector |z><z|
     z = 0.8 + 0.3j

@@ -52,6 +52,17 @@ def test_displacement_block_consistent_with_square():
     np.testing.assert_allclose(blk, full[:7, :], rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("d, K", [(7, 40), (41, 41)])
+def test_displacement_block_rotation_covariance(d, K):
+    # D(r e^{i theta})_{mn} = e^{i(m-n) theta} D(r)_{mn}: one block per radius
+    m, n = np.indices((d, K))
+    for r in (0.3, 1.7, 4.2):
+        base = fock.displacement_block(r, d, K)
+        for th in (0.4, 2.9, -1.3):
+            got = fock.displacement_block(r * np.exp(1j * th), d, K)
+            assert np.abs(got - np.exp(1j * (m - n) * th) * base).max() < 1e-14
+
+
 def test_displacement_underflow_guard():
     with pytest.raises(UnderflowError):
         fock.displacement_matrix(60.0, 4)

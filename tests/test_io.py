@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from phasetomo import cstomo, fock, io, pntomo
-from phasetomo.errors import GridError
+from phasetomo import cli, cstomo, fock, io, pntomo
+from phasetomo.errors import GridError, ParseError
 
 
 def test_tomogram_csv_roundtrip(tmp_path):
@@ -93,3 +95,53 @@ def test_rewrite_is_byte_identical(tmp_path):
     io.write_tomogram_csv(b, tom, source=rho)
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.csv.json").read_bytes() == (tmp_path / "b.csv.json").read_bytes()
+
+
+def _k_file(tmp_path):
+    rho = fock.build_state("fock", 0, 5, 1e-10)
+    tom = cstomo.k_grid(rho, cstomo.PhaseGrid.polar(5.0, 24, 8))
+    path = tmp_path / "t.csv"
+    io.write_tomogram_csv(path, tom, source=rho)
+    return path, path.read_text().splitlines()
+
+
+def _rewrite(tmp_path, path, lines, name):
+    bad = tmp_path / name
+    bad.write_text("\n".join(lines) + "\n")
+    (tmp_path / (name + ".json")).write_text((tmp_path / (path.name + ".json")).read_text())
+    return bad
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda cols: cols[:3], "line 3, column 4"),          # truncated row
+    (lambda cols: cols + ["0"], "line 3, column 6"),      # extra cell
+    (lambda cols: cols[:2] + ["nan"] + cols[3:], "line 3, column 3"),
+    (lambda cols: cols[:4] + ["inf"], "line 3, column 5"),
+    (lambda cols: ["x1"] + cols[1:], "line 3, column 1"),
+])
+def test_malformed_rows_name_line_and_column(tmp_path, edit, where):
+    path, lines = _k_file(tmp_path)
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    bad = _rewrite(tmp_path, path, lines, "bad.csv")
+    with pytest.raises(ParseError) as err:
+        io.read_tomogram_csv(bad)
+    assert str(err.value).startswith(where)
+    assert err.value.text == lines[2]
+
+
+def test_malformed_row_exit_code_and_blank_lines(tmp_path, capsys):
+    path, lines = _k_file(tmp_path)
+    lines[3] = lines[3].replace(",", ",,", 1)
+    bad = _rewrite(tmp_path, path, lines[:2] + [""] + lines[2:], "gap.csv")
+    with pytest.raises(ParseError, match="line 5, column 2"):
+        io.read_tomogram_csv(bad)
+    assert cli.main(["reconstruct", str(bad), "--method", "moments",
+                     "--out", str(tmp_path / "r.json")]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ParseError" and doc["pos"] == lines[3].index(",,") + 1
+
+
+def test_header_only_file_is_refused(tmp_path):
+    path, lines = _k_file(tmp_path)
+    with pytest.raises(ParseError, match="no data rows"):
+        io.read_tomogram_csv(_rewrite(tmp_path, path, lines[:1], "empty.csv"))
